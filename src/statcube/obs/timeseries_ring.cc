@@ -20,9 +20,12 @@ std::vector<double> TimeSeriesRing::Snapshot() const {
   for (uint64_t i = begin; i < end; ++i)
     out.push_back(slots_[size_t(i % cap)].load(std::memory_order_acquire));
   // Anything the writer rotated past while we copied is suspect: the slot
-  // for logical index i may now hold a newer value. Drop those from the
-  // front — the window shrinks instead of tearing.
-  const uint64_t end2 = count_.load(std::memory_order_acquire);
+  // for logical index i may now hold a newer value. Push stores its slot
+  // before count_ moves, so count_ alone misses a write still in flight;
+  // `started_` counts that write too (a reader that copied the new value
+  // also sees its announcement). Drop the suspects from the front — the
+  // window shrinks instead of tearing.
+  const uint64_t end2 = started_.load(std::memory_order_acquire);
   const uint64_t new_begin = end2 > cap ? end2 - cap : 0;
   const uint64_t overwritten = new_begin > begin ? new_begin - begin : 0;
   if (overwritten >= out.size()) return {};

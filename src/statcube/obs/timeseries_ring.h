@@ -10,9 +10,9 @@
 /// into preallocated atomic slots and reuses preallocated scratch buffers,
 /// so steady-state sampling performs no allocation. Readers (HTTP scrape
 /// threads) snapshot rings without blocking the sampler: slots are
-/// `std::atomic<double>` (tear-free by construction) and a before/after
-/// read of the push count discards any slot the single writer may have
-/// overwritten mid-snapshot.
+/// `std::atomic<double>` (tear-free by construction), and reading the push
+/// count before the copy and the pushes begun after it discards any slot
+/// the single writer may have overwritten mid-snapshot.
 
 #ifndef STATCUBE_OBS_TIMESERIES_RING_H_
 #define STATCUBE_OBS_TIMESERIES_RING_H_
@@ -46,6 +46,9 @@ class TimeSeriesRing {
   /// Appends `v`, overwriting the oldest value when full. Single writer.
   void Push(double v) {
     uint64_t c = count_.load(std::memory_order_relaxed);
+    // Announced before the slot store (which is a release), so a reader
+    // that copies the new value also sees that index c was written.
+    started_.store(c + 1, std::memory_order_relaxed);
     slots_[size_t(c % slots_.size())].store(v, std::memory_order_release);
     count_.store(c + 1, std::memory_order_release);
   }
@@ -69,6 +72,8 @@ class TimeSeriesRing {
  private:
   std::vector<std::atomic<double>> slots_;
   std::atomic<uint64_t> count_{0};
+  // Pushes begun (count_ plus the one in flight, if any).
+  std::atomic<uint64_t> started_{0};
 };
 
 /// Options for MetricSampler.

@@ -72,15 +72,34 @@ class MolapBackend : public CubeBackend {
     out_schema.AddColumn("sum", ValueType::kDouble);
     Table out("groupby_molap", out_schema);
 
+    // The coordinates each grouped dimension enumerates: every member, or
+    // only the members its equality filters select — none when a filter
+    // names a non-member, as the relational answer has no such group.
+    std::vector<std::vector<const Value*>> members(gidx.size());
+    for (size_t i = 0; i < gidx.size(); ++i) {
+      for (const Value& v : dim_values_[gidx[i]]) {
+        bool selected = true;
+        for (const EqFilter& f : query.filters)
+          if (f.column == dim_names_[gidx[i]] && f.value != v)
+            selected = false;
+        if (selected) members[i].push_back(&v);
+      }
+    }
+    if (std::any_of(members.begin(), members.end(),
+                    [](const std::vector<const Value*>& m) {
+                      return m.empty();
+                    }))
+      return out;
+
     if (query.threads != 1) {
-      STATCUBE_RETURN_NOT_OK(GroupBySumParallel(query, gidx, &out));
+      STATCUBE_RETURN_NOT_OK(GroupBySumParallel(query, gidx, members, &out));
     } else {
       std::vector<size_t> pick(gidx.size(), 0);
       while (true) {
         std::vector<EqFilter> filters = query.filters;
         Row row;
         for (size_t i = 0; i < gidx.size(); ++i) {
-          const Value& v = dim_values_[gidx[i]][pick[i]];
+          const Value& v = *members[i][pick[i]];
           filters.push_back({dim_names_[gidx[i]], v});
           row.push_back(v);
         }
@@ -91,7 +110,7 @@ class MolapBackend : public CubeBackend {
         size_t d = gidx.size();
         bool done = true;
         while (d-- > 0) {
-          if (++pick[d] < dim_values_[gidx[d]].size()) {
+          if (++pick[d] < members[d].size()) {
             done = false;
             break;
           }
@@ -112,10 +131,11 @@ class MolapBackend : public CubeBackend {
   // decodes to the same pick vector the serial odometer visits at step g
   // (last group dimension fastest), so the pre-sorted row order — and after
   // SortBy the output — is identical to the serial path.
-  Status GroupBySumParallel(const CubeQuery& query,
-                            const std::vector<size_t>& gidx, Table* out) {
+  Status GroupBySumParallel(
+      const CubeQuery& query, const std::vector<size_t>& gidx,
+      const std::vector<std::vector<const Value*>>& members, Table* out) {
     size_t ngroups = 1;
-    for (size_t i : gidx) ngroups *= dim_values_[i].size();
+    for (const auto& m : members) ngroups *= m.size();
     std::vector<Row> rows(ngroups);
 
     exec::ExecOptions xo;
@@ -135,13 +155,13 @@ class MolapBackend : public CubeBackend {
           for (size_t g = begin; g < end; ++g) {
             size_t rem = g;
             for (size_t i = gidx.size(); i-- > 0;) {
-              pick[i] = rem % dim_values_[gidx[i]].size();
-              rem /= dim_values_[gidx[i]].size();
+              pick[i] = rem % members[i].size();
+              rem /= members[i].size();
             }
             std::vector<EqFilter> filters = query.filters;
             Row row;
             for (size_t i = 0; i < gidx.size(); ++i) {
-              const Value& v = dim_values_[gidx[i]][pick[i]];
+              const Value& v = *members[i][pick[i]];
               filters.push_back({dim_names_[gidx[i]], v});
               row.push_back(v);
             }

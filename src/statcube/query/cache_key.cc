@@ -67,22 +67,17 @@ bool Distributive(AggFn fn) {
   return false;
 }
 
-// Mirrors the acceptance conditions of ExecuteQueryOnBackend plus the
-// backend constructors: these all depend only on the object and the query,
-// so the prediction matches the executed path whenever the backend build
-// succeeds — and when it cannot succeed, no backend-shaped entry exists in
-// the family either, so a wrong prediction can only miss, never mis-derive.
+// BackendExpressible (the acceptance conditions of ExecuteQueryOnBackend)
+// plus the backend constructors: these all depend only on the object and
+// the query, so the prediction matches the executed path whenever the
+// backend build succeeds — and when it cannot succeed, no backend-shaped
+// entry exists in the family either, so a wrong prediction can only miss,
+// never mis-derive.
 bool PredictBackendShape(const StatisticalObject& obj, const ParsedQuery& q,
                          QueryEngine engine) {
-  if (engine == QueryEngine::kRelational) return false;
-  if (q.cube) return false;
-  if (q.aggs.size() != 1 || q.aggs[0].fn != AggFn::kSum) return false;
-  if (!obj.MeasureNamed(q.aggs[0].column).ok()) return false;
-  for (const auto& b : q.by)
-    if (!obj.DimensionNamed(b).ok()) return false;
-  for (const auto& [attr, v] : q.where)
-    if (!obj.DimensionNamed(attr).ok()) return false;
-  return true;
+  return engine != QueryEngine::kRelational &&
+         BackendExpressible(obj, q).ok() &&
+         obj.MeasureNamed(q.aggs[0].column).ok();
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // ExecuteQueryParallel: the relational executor routed through the
 // morsel-parallel kernels (statcube/exec). Mirrors ExecuteQuery phase by
-// phase — plan/rollup derivation stays serial (it is per-query metadata
-// work, not a scan), while the WHERE filter and the grouping/CUBE run
-// parallel. Lives in its own translation unit for the same codegen reason
-// as profiled.cc: parser.cc's hot parse path must not grow.
-
-#include <set>
+// phase — both read through query::BuildQueryInput, which stays serial (one
+// narrow pass plus per-member roll-up lookups), while the WHERE filter and
+// the grouping/CUBE run parallel. Lives in its own translation unit for the
+// same codegen reason as profiled.cc: parser.cc's hot parse path must not
+// grow.
 
 #include "statcube/exec/parallel_kernels.h"
 #include "statcube/query/parser.h"
+#include "statcube/query/query_input.h"
 #include "statcube/relational/expression.h"
 
 namespace statcube {
@@ -22,53 +22,7 @@ Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
   exec_options.stop = stop;
   exec_options.vectorized = vectorized;
 
-  // Hierarchy-level references derive extra columns, exactly as
-  // ExecuteQuery does (same spans, same errors, same derived rows).
-  std::set<std::string> referenced;
-  for (const auto& b : query.by) referenced.insert(b);
-  for (const auto& [attr, v] : query.where) referenced.insert(attr);
-
-  Table data = obj.data();
-  {
-    obs::Span plan_span("plan");
-    for (const auto& attr : referenced) {
-      if (obj.DimensionNamed(attr).ok()) continue;  // plain dimension
-      if (data.schema().Contains(attr)) continue;   // measure or derived
-      bool resolved = false;
-      for (const auto& d : obj.dimensions()) {
-        auto lv = d.LevelNamed(attr);
-        if (!lv.ok() || lv->second == 0) continue;
-        obs::Span rollup_span("rollup:" + attr);
-        const ClassificationHierarchy* hier = lv->first;
-        size_t level = lv->second;
-        for (size_t step = 0; step < level; ++step) {
-          if (!hier->IsStrictAt(step))
-            return Status::NotSummarizable(
-                "attribute '" + attr + "' reached through non-strict "
-                "hierarchy '" + hier->name() + "'");
-        }
-        STATCUBE_ASSIGN_OR_RETURN(size_t leaf_idx,
-                                  data.schema().IndexOf(d.name()));
-        Schema s2 = data.schema();
-        s2.AddColumn(attr, ValueType::kString);
-        Table derived(data.name(), s2);
-        for (const Row& r : data.rows()) {
-          STATCUBE_ASSIGN_OR_RETURN(std::vector<Value> anc,
-                                    hier->Ancestors(0, r[leaf_idx], level));
-          Row r2 = r;
-          r2.push_back(anc.empty() ? Value::Null() : anc.front());
-          derived.AppendRowUnchecked(std::move(r2));
-        }
-        obs::RecordOperator("rollup", data.num_rows(), derived.num_rows());
-        data = std::move(derived);
-        resolved = true;
-        break;
-      }
-      if (!resolved)
-        return Status::NotFound("no dimension, level or measure named '" +
-                                attr + "'");
-    }
-  }
+  STATCUBE_ASSIGN_OR_RETURN(Table data, query::BuildQueryInput(obj, query));
   if (!query.where.empty()) {
     obs::Span filter_span("filter");
     std::vector<RowPredicate> preds;

@@ -74,14 +74,21 @@ Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
                                    const CancelContext* stop = nullptr,
                                    bool vectorized = exec::DefaultVectorized());
 
+/// Whether a cube backend can answer `query`: OK for exactly one SUM
+/// aggregate, BY plain dimensions (no CUBE) and WHERE equalities on
+/// dimensions; otherwise Unimplemented naming the first obstacle. Depends
+/// only on the object and the query, so callers check it before paying for
+/// a backend build.
+Status BackendExpressible(const StatisticalObject& obj,
+                          const ParsedQuery& query);
+
 /// Executes a parsed query through a CubeBackend (§6.6: the same textual
 /// query served by either physical organization). Only backend-expressible
-/// queries are accepted — exactly one SUM aggregate over the backend's
-/// measure, BY plain dimensions (no CUBE), WHERE equalities on dimensions;
-/// anything else returns Unimplemented so callers can fall back to
-/// ExecuteQuery. `threads` != 1 routes the backend's scan/grouping through
-/// the parallel kernels (CubeQuery::threads); `vectorized` is forwarded to
-/// CubeQuery::vectorized.
+/// queries are accepted (BackendExpressible; the SUM must be over the
+/// backend's measure); anything else returns Unimplemented so callers can
+/// fall back to ExecuteQuery. `threads` != 1 routes the backend's
+/// scan/grouping through the parallel kernels (CubeQuery::threads);
+/// `vectorized` is forwarded to CubeQuery::vectorized.
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
                                     const ParsedQuery& query,
                                     CubeBackend& backend, int threads = 1,
@@ -151,9 +158,9 @@ struct ProfiledQuery {
 /// Parse + execute + render with full observability: enables obs for the
 /// call, collects the span tree (parse → plan → rollup → execute → render),
 /// per-operator row counts, and block I/O. Cube-engine options build the
-/// backend per call (visible as a backend.build span) and fall back to the
-/// relational path — noted in profile.backend — when the query is not
-/// backend-expressible.
+/// backend per call (visible as a backend.build span) for a
+/// backend-expressible query; any other query goes to the relational path
+/// without a build — noted in profile.backend.
 Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
                                     const std::string& text,
                                     const QueryOptions& options = {});

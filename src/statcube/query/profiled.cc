@@ -28,10 +28,8 @@ std::string Lower(std::string s) {
 
 }  // namespace
 
-Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
-                                    const ParsedQuery& query,
-                                    CubeBackend& backend, int threads,
-                                    bool vectorized) {
+Status BackendExpressible(const StatisticalObject& obj,
+                          const ParsedQuery& query) {
   if (query.cube)
     return Status::Unimplemented("BY CUBE is not backend-expressible");
   if (query.aggs.size() != 1 || query.aggs[0].fn != AggFn::kSum)
@@ -40,16 +38,23 @@ Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
   for (const auto& b : query.by)
     if (!obj.DimensionNamed(b).ok())
       return Status::Unimplemented("BY '" + b + "' is not a plain dimension");
+  for (const auto& [attr, v] : query.where)
+    if (!obj.DimensionNamed(attr).ok())
+      return Status::Unimplemented("WHERE '" + attr +
+                                   "' is not a plain dimension");
+  return Status::OK();
+}
+
+Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
+                                    const ParsedQuery& query,
+                                    CubeBackend& backend, int threads,
+                                    bool vectorized) {
+  STATCUBE_RETURN_NOT_OK(BackendExpressible(obj, query));
   CubeQuery cq;
   cq.threads = threads;
   cq.vectorized = vectorized;
   cq.group_dims = query.by;
-  for (const auto& [attr, v] : query.where) {
-    if (!obj.DimensionNamed(attr).ok())
-      return Status::Unimplemented("WHERE '" + attr +
-                                   "' is not a plain dimension");
-    cq.filters.push_back({attr, v});
-  }
+  for (const auto& [attr, v] : query.where) cq.filters.push_back({attr, v});
   obs::Span span("execute");
   return backend.GroupBySum(cq);
 }
@@ -180,12 +185,14 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   if (from_cache) scope.profile().backend = "cache";
   const auto exec_start = std::chrono::steady_clock::now();
 
-  // Cube-engine route: build the backend for the query's measure (its cost
-  // is part of the profile, under its own span) and execute there when the
-  // query is backend-expressible; otherwise fall back to the relational
-  // executor — the profile's backend field says which path answered.
+  // Cube-engine route: when the query is backend-expressible, build the
+  // backend for the query's measure (its cost is part of the profile, under
+  // its own span) and execute there; otherwise fall back to the relational
+  // executor without building — the profile's backend field says which path
+  // answered.
   bool backend_answered = false;
-  if (!executed && options.engine != QueryEngine::kRelational) {
+  if (!executed && options.engine != QueryEngine::kRelational &&
+      BackendExpressible(obj, q).ok()) {
     Result<std::unique_ptr<CubeBackend>> backend =
         Status::Internal("unreachable");
     {

@@ -7,6 +7,7 @@
 
 #include <map>
 
+#include "statcube/query/parser.h"
 #include "statcube/workload/retail.h"
 
 namespace statcube {
@@ -114,6 +115,56 @@ TEST_F(BackendTest, TwoDimensionGroupBy) {
     auto it = molap_groups.find(key);
     ASSERT_NE(it, molap_groups.end());
     EXPECT_NEAR(it->second, r.back().AsDouble(), 1e-6);
+  }
+}
+
+// A WHERE equality on a grouped dimension selects that group only: MOLAP
+// must answer like the relational executor once its all-zero padding rows
+// (group coordinates with no cells) are dropped — a filter that names a
+// non-member leaves no group at all.
+TEST_F(BackendTest, MolapFilterOnGroupedDimensionMatchesRelational) {
+  for (const char* text : {
+           "SELECT sum(amount) BY store WHERE store = 'city0/s#0'",
+           "SELECT sum(amount) BY store, product WHERE store = 'city1/s#0'",
+           "SELECT sum(amount) BY product, store WHERE store = 'city0/s#1' "
+           "AND product = 'prod1'",
+           "SELECT sum(amount) BY store WHERE store = 'city0/s#0' AND "
+           "store = 'city1/s#0'",
+           "SELECT sum(amount) BY store WHERE store = 'no/such#store'",
+       }) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok()) << text;
+    auto relational = ExecuteQuery(data_->object, *q);
+    ASSERT_TRUE(relational.ok()) << text << ": "
+                                 << relational.status().ToString();
+    for (int threads : {1, 2}) {
+      auto molap =
+          ExecuteQueryOnBackend(data_->object, *q, *molap_, threads);
+      ASSERT_TRUE(molap.ok()) << text << ": " << molap.status().ToString();
+      std::vector<Row> cells;
+      for (const Row& r : molap->rows())
+        if (r.back().AsDouble() != 0.0) cells.push_back(r);
+      const std::string what = std::string(text) + " @" +
+                               std::to_string(threads) + " threads";
+      ASSERT_EQ(cells.size(), relational->num_rows()) << what;
+      for (size_t i = 0; i < cells.size(); ++i) {
+        const Row& want = relational->row(i);
+        for (size_t c = 0; c + 1 < want.size(); ++c)
+          EXPECT_EQ(cells[i][c], want[c]) << what << " row " << i;
+        EXPECT_NEAR(cells[i].back().AsDouble(), want.back().AsDouble(), 1e-6)
+            << what << " row " << i;
+      }
+    }
+  }
+  // The grouped dimension is narrowed to the filter's member, so the
+  // padding that remains is only along the other grouped dimensions.
+  auto q = ParseQuery("SELECT sum(amount) BY store WHERE store = 'city0/s#0'");
+  ASSERT_TRUE(q.ok());
+  for (int threads : {1, 2}) {
+    auto molap = ExecuteQueryOnBackend(data_->object, *q, *molap_, threads);
+    ASSERT_TRUE(molap.ok());
+    ASSERT_EQ(molap->num_rows(), 1u);
+    EXPECT_EQ(molap->at(0, 0), Value("city0/s#0"));
   }
 }
 

@@ -346,6 +346,10 @@ TEST_F(ProfiledQueryTest, UnexpressibleQueryFallsBackToRelational) {
   auto r = QueryProfiled(data_->object, "SELECT avg(amount) BY city", opt);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->profile.backend, "relational");
+  // The backend could not have answered, so it is never built.
+  std::string tree = r->profile.trace.TreeString();
+  EXPECT_EQ(tree.find("backend.build"), std::string::npos) << tree;
+  EXPECT_NE(tree.find("rollup:city"), std::string::npos) << tree;
 }
 
 // The §6.6 equivalence, observed: MOLAP and ROLAP report identical result

@@ -228,6 +228,23 @@ TEST(QueryEquivalence, Retail) {
     ExpectQueryEquivalent(obj, q);
 }
 
+// The shared read path (query/query_input.h): several levels of one
+// dimension, a level in both BY and WHERE, a level beside its own grouped
+// leaf, and an aggregate over a dimension column.
+TEST(QueryEquivalence, ReadPathShapes) {
+  const auto& obj = Workloads::Get().retail.object;
+  for (const char* q : {
+           "SELECT sum(amount) BY year, month",
+           "SELECT sum(amount), avg(qty) BY city WHERE city = 'city1'",
+           "SELECT sum(qty) BY store, city",
+           "SELECT sum(amount) BY day, month WHERE year = '1996'",
+           "SELECT count(product) BY category",
+           "SELECT count(product), sum(amount) BY CUBE(category, city) "
+           "WHERE price_range = 'premium'",
+       })
+    ExpectQueryEquivalent(obj, q);
+}
+
 TEST(QueryEquivalence, CensusQueries) {
   const auto& obj = Workloads::Get().census;
   for (const char* q : {
