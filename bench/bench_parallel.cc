@@ -1,21 +1,17 @@
 // Experiments P1 and P4 (DESIGN.md §6, §12): thread-sweep scaling of the
 // morsel-driven parallel kernels (statcube/exec) over the three §6
 // aggregation shapes — hash group-by, the CUBE lattice, and the MOLAP
-// marginals — plus the vectorized/radix variants of the group-by shapes.
-// Arg(N) is the worker count (1/2/4/8); the 1-thread row is the serial
-// baseline cost, so speedup(N) = real_time(1) / real_time(N). On a machine
-// with fewer cores than N the pool oversubscribes (EnsureThreads), which
-// bounds but does not fake the scaling curve — record the core count with
-// the numbers.
+// marginals. Arg(N) is the worker count (1/2/4/8); the 1-thread row runs
+// the serial operators (the kernel rule in parallel_kernels.h), and N > 1
+// the radix group-by kernel, so speedup(N) = real_time(1) / real_time(N).
+// On a machine with fewer cores than N the pool oversubscribes
+// (EnsureThreads), which bounds but does not fake the scaling curve —
+// record the core count with the numbers.
 //
 // Determinism of the measured WORK: the dataset seed is pinned (seed 17,
 // 200k rows) so every run — and both sides of a tools/bench_diff.py
 // comparison — aggregates the exact same rows; a drifting dataset would
-// make cross-commit real_time deltas meaningless. The scalar cases also pin
-// ExecOptions::vectorized = false explicitly, so BM_ParallelGroupBy means
-// the same thing whether or not STATCUBE_VECTORIZED is set in the
-// environment; the BM_Vectorized* cases are the flag-on measurement over
-// the identical table (speedup = BM_Parallel* / BM_Vectorized* at equal N).
+// make cross-commit real_time deltas meaningless.
 //
 // Counters: threads, rows (or cells) processed per iteration.
 
@@ -30,8 +26,8 @@ namespace {
 
 // One big retail table shared by every group-by/CUBE case: ~200k fact rows
 // over 50 products x 12 stores x 60 days, Zipf-skewed. The seed is pinned
-// so scalar and vectorized cases — and baseline vs candidate commits —
-// measure identical work (see the file comment).
+// so baseline and candidate commits measure identical work (see the file
+// comment).
 const Table& BigRetailFlat() {
   static const Table* table = [] {
     RetailOptions opt;
@@ -45,13 +41,6 @@ const Table& BigRetailFlat() {
 exec::ExecOptions Workers(int64_t n) {
   exec::ExecOptions o;
   o.threads = int(n);
-  o.vectorized = false;  // pinned scalar, immune to STATCUBE_VECTORIZED
-  return o;
-}
-
-exec::ExecOptions VecWorkers(int64_t n) {
-  exec::ExecOptions o = Workers(n);
-  o.vectorized = true;
   return o;
 }
 
@@ -82,38 +71,6 @@ void BM_ParallelCubeBy(benchmark::State& state) {
   state.counters["rows"] = double(t.num_rows());
 }
 BENCHMARK(BM_ParallelCubeBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_VectorizedGroupBy(benchmark::State& state) {
-  // The same table, group columns, and aggregates as BM_ParallelGroupBy,
-  // answered by the radix kernels (exec/vec_kernels.h). Output is
-  // bit-identical; only the time may differ.
-  const Table& t = BigRetailFlat();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kCount, "qty", ""}};
-  for (auto _ : state) {
-    auto g = exec::ParallelGroupBy(t, {"product", "store"}, aggs,
-                                   VecWorkers(state.range(0)));
-    benchmark::DoNotOptimize(g->num_rows());
-  }
-  state.counters["threads"] = double(state.range(0));
-  state.counters["rows"] = double(t.num_rows());
-}
-BENCHMARK(BM_VectorizedGroupBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_VectorizedCubeBy(benchmark::State& state) {
-  const Table& t = BigRetailFlat();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""}};
-  for (auto _ : state) {
-    auto c = exec::ParallelCubeBy(t, {"category", "city", "month"}, aggs,
-                                  VecWorkers(state.range(0)));
-    benchmark::DoNotOptimize(c->num_rows());
-  }
-  state.counters["threads"] = double(state.range(0));
-  state.counters["rows"] = double(t.num_rows());
-}
-BENCHMARK(BM_VectorizedCubeBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ParallelMarginals(benchmark::State& state) {

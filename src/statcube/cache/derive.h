@@ -4,11 +4,11 @@
 /// The execution half of the cache's derived-hit path: given a cached entry
 /// whose group-by set is a superset of the request ([HUR96] derivability,
 /// `Lattice::DerivableFrom`), re-aggregate the *result* table — typically
-/// orders of magnitude smaller than the base data — with the existing
-/// serial/parallel group-by kernels. Only distributive aggregates are
-/// eligible (sum of sums, count as sum of counts, min of mins, max of
-/// maxes); avg/variance/stddev are not re-aggregable from finalized values
-/// and never reach this code (QueryKey::derivable gates them out).
+/// orders of magnitude smaller than the base data — with the group-by
+/// kernels. Only distributive aggregates are eligible (sum of sums, count as
+/// sum of counts, min of mins, max of maxes); avg/variance/stddev are not
+/// re-aggregable from finalized values and never reach this code
+/// (QueryKey::derivable gates them out).
 ///
 /// The output contract matches the direct execution path bit-for-bit for
 /// the same reasons PR 3's parallel kernels match the serial ones: identical
@@ -24,22 +24,14 @@
 #include "statcube/common/status.h"
 #include "statcube/relational/table.h"
 
-namespace statcube::exec {
-/// See exec/parallel_kernels.h.
-bool DefaultVectorized();
-}  // namespace statcube::exec
-
 namespace statcube::cache {
 
-/// Rolls `src` (a cached superset result) up to `key.by`. `threads` follows
-/// QueryOptions::threads: 1 = serial kernels, anything else = the morsel
-/// engine with that worker cap (0 = default pool); `vectorized` additionally
-/// routes the parallel grouping through the radix kernels
-/// (exec/vec_kernels.h). The returned table is bit-identical to executing
+/// Rolls `src` (a cached superset result) up to `key.by` through
+/// exec::ParallelGroupByStates with `threads` workers (QueryOptions::threads;
+/// 0 = default pool). The returned table is bit-identical to executing
 /// `key`'s query directly.
 Result<Table> RollupDerived(const DerivedSource& src, const QueryKey& key,
-                            int threads,
-                            bool vectorized = exec::DefaultVectorized());
+                            int threads);
 
 }  // namespace statcube::cache
 

@@ -1,6 +1,6 @@
 /// \file
 /// \brief Block-at-a-time primitives over contiguous `double` slabs: the
-/// lowest layer of the vectorized execution path (DESIGN.md §12).
+/// lowest layer of the radix group-by path (DESIGN.md §12).
 ///
 /// The paper's §6.1 transposed/columnar layout was chosen precisely so
 /// aggregation can run over contiguous measure slabs; these functions are

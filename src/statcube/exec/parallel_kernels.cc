@@ -8,10 +8,10 @@
 #include "statcube/common/str_util.h"
 #include "statcube/common/vec_block.h"
 #include "statcube/exec/vec_kernels.h"
-#include "statcube/obs/metrics.h"
 #include "statcube/obs/query_profile.h"
 #include "statcube/obs/resource.h"
 #include "statcube/relational/cube_operator.h"
+#include "statcube/relational/operators.h"
 
 namespace statcube::exec {
 
@@ -42,29 +42,21 @@ StopReason StopAfter(const ExecOptions& options) {
   return options.stop == nullptr ? StopReason::kNone : options.stop->Check();
 }
 
-// Folds `src` into `dst`. Called in ascending morsel order, so the sequence
-// of inserts and AggState::Merge calls is a pure function of the input —
-// the iteration order of each (deterministically built) partial map is
-// itself deterministic for a fixed standard library.
-void MergeGroupedStates(GroupedStates* dst, GroupedStates* src) {
-  if (dst->empty()) {
-    *dst = std::move(*src);
-    return;
-  }
-  for (auto& [key, st] : *src) {
-    auto it = dst->find(key);
-    if (it == dst->end()) {
-      dst->emplace(key, std::move(st));
-    } else {
-      for (size_t i = 0; i < st.size(); ++i) it->second[i].Merge(st[i]);
-    }
-  }
+// The kernel rule (parallel_kernels.h): the serial relational operator at
+// one worker and past the radix kernel's row limit, the parallel kernel
+// otherwise.
+bool UseSerialOperator(const ExecOptions& options, size_t rows) {
+  return options.EffectiveThreads() == 1 || rows >= kRadixRowLimit;
 }
 
 }  // namespace
 
 Table ParallelSelect(const Table& input, const RowPredicate& pred,
                      const ExecOptions& options) {
+  if (UseSerialOperator(options, input.num_rows())) {
+    CancelScope cancel(options.stop);
+    return Select(input, pred);
+  }
   obs::Span span("op.select");
   // ByteSize walks every cell — compute it only when someone is counting.
   if (obs::Enabled()) obs::RecordBytesTouched(input.ByteSize());
@@ -91,67 +83,11 @@ Table ParallelSelect(const Table& input, const RowPredicate& pred,
 Result<GroupedStates> ParallelGroupByStates(
     const Table& input, const std::vector<std::string>& group_cols,
     const std::vector<AggSpec>& aggs, const ExecOptions& options) {
-  // Vectorized route: the radix kernel either answers (bit-identical to the
-  // serial scan) or declines with Unimplemented when the input exceeds its
-  // 32-bit row indexes — then the scalar morsel path below serves as the
-  // fallback. Real errors (bad columns, stop) propagate unchanged.
-  if (options.vectorized) {
-    Result<GroupedStates> r =
-        VectorizedGroupByStates(input, group_cols, aggs, options);
-    if (r.ok() || r.status().code() != StatusCode::kUnimplemented) return r;
-    if (obs::Enabled())
-      obs::MetricsRegistry::Global()
-          .GetCounter("statcube.exec.vec.fallbacks")
-          .Add(1);
+  if (UseSerialOperator(options, input.num_rows())) {
+    CancelScope cancel(options.stop);
+    return GroupByStates(input, group_cols, aggs);
   }
-
-  // Resolve columns up front (exactly as GroupByStates) so every error
-  // surfaces before any task is spawned.
-  STATCUBE_ASSIGN_OR_RETURN(std::vector<size_t> gidx,
-                            input.schema().IndexesOf(group_cols));
-  std::vector<int64_t> aidx(aggs.size(), -1);
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].fn == AggFn::kCountAll && aggs[i].column.empty()) continue;
-    STATCUBE_ASSIGN_OR_RETURN(size_t idx,
-                              input.schema().IndexOf(aggs[i].column));
-    aidx[i] = static_cast<int64_t>(idx);
-  }
-
-  // ByteSize walks every cell — compute it only when someone is counting.
-  if (obs::Enabled()) obs::RecordBytesTouched(input.ByteSize());
-  ParallelForOptions loop = LoopOptions("groupby", options);
-  size_t n = input.num_rows();
-  std::vector<GroupedStates> parts(NumMorsels(n, loop.morsel_size));
-
-  ParallelFor(
-      n,
-      [&](size_t m, size_t begin, size_t end) {
-        GroupedStates& states = parts[m];
-        Row key(gidx.size());
-        for (size_t r = begin; r < end; ++r) {
-          const Row& row = input.row(r);
-          for (size_t k = 0; k < gidx.size(); ++k) key[k] = row[gidx[k]];
-          auto it = states.find(key);
-          if (it == states.end())
-            it = states.emplace(key, std::vector<AggState>(aggs.size()))
-                     .first;
-          for (size_t i = 0; i < aggs.size(); ++i) {
-            if (aidx[i] < 0) {
-              ++it->second[i].rows;  // kCountAll without a column
-            } else {
-              it->second[i].Add(row[static_cast<size_t>(aidx[i])]);
-            }
-          }
-        }
-      },
-      loop);
-
-  if (StopReason r = StopAfter(options); r != StopReason::kNone)
-    return StopStatus(r, "groupby");
-
-  GroupedStates merged;
-  for (GroupedStates& part : parts) MergeGroupedStates(&merged, &part);
-  return merged;
+  return VectorizedGroupByStates(input, group_cols, aggs, options);
 }
 
 Result<Table> ParallelGroupBy(const Table& input,
@@ -172,6 +108,10 @@ Result<Table> ParallelCubeBy(const Table& input,
                              const std::vector<std::string>& dims,
                              const std::vector<AggSpec>& aggs,
                              const ExecOptions& options) {
+  if (UseSerialOperator(options, input.num_rows())) {
+    CancelScope cancel(options.stop);
+    return CubeBy(input, dims, aggs);
+  }
   if (dims.size() > 20)
     return Status::InvalidArgument("cube over >20 dimensions refused");
   obs::Span span("op.cube");

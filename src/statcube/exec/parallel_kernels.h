@@ -1,18 +1,27 @@
 // Parallel operator kernels over the morsel scheduler (task_scheduler.h):
-// scan/filter, hash group-by with thread-local partial aggregation, the
-// CUBE/ROLLUP grouping-set lattice, and MOLAP dense-array reductions.
+// scan/filter, hash group-by, the CUBE/ROLLUP grouping-set lattice, and
+// MOLAP dense-array reductions.
+//
+// Kernel rule: these entry points are the only place that decides between
+// serial and parallel execution, so callers pass their thread count through
+// and never branch on it. With one worker (ExecOptions::EffectiveThreads()
+// == 1) ParallelSelect, ParallelGroupByStates and ParallelCubeBy run the
+// serial relational operator (Select / GroupByStates / CubeBy) under a
+// CancelScope for `options.stop` — the test oracle, and the fastest kernel
+// at one worker. With more workers the grouping runs the radix kernel
+// (vec_kernels.h); an input past its 32-bit row indexes
+// (kRadixRowLimit) also goes to the serial operator.
 //
 // Determinism contract (tested by tests/parallel_equivalence_test.cc and
-// documented in DESIGN.md §6): every kernel's output is **bit-identical for
-// any thread count**, including 1. Morsel boundaries are a pure function of
-// the input size and morsel_rows (never the thread count), every morsel is
-// aggregated in row order, and per-morsel partials are merged in ascending
-// morsel index — so the floating-point combination order is fixed. The tail
-// is the same canonical sort the serial operators already perform, so a
-// kernel's result also matches its serial counterpart exactly whenever
-// addition over the measure is exact (integer-valued measures — every
-// workload measure except the stock close price) and to the last ulp
-// otherwise.
+// documented in DESIGN.md §6): every kernel's output is **bit-identical to
+// its serial counterpart for every measure at every thread count**,
+// including non-integral doubles such as the stock close price. Morsel
+// boundaries are a pure function of the input size and morsel_rows (never
+// the thread count); the radix group-by replays each group's serial
+// accumulation order and emits groups in the serial first-occurrence order
+// (vec_kernels.h); per-morsel partials of the scans and MOLAP reductions
+// combine in ascending morsel index; and the tail is the same canonical sort
+// the serial operators perform.
 
 #ifndef STATCUBE_EXEC_PARALLEL_KERNELS_H_
 #define STATCUBE_EXEC_PARALLEL_KERNELS_H_
@@ -29,20 +38,14 @@
 
 namespace statcube::exec {
 
-/// Process-wide default for ExecOptions::vectorized: true when the
-/// STATCUBE_VECTORIZED environment variable is set to anything but "0"
-/// (read once, like STATCUBE_THREADS). Lets CI force the vectorized kernels
-/// on for an entire test run without touching call sites.
-bool DefaultVectorized();
-
 /// Knobs shared by every parallel kernel.
 struct ExecOptions {
-  /// Worker cap: 0 = DefaultThreads(); 1 = run inline on the caller (same
-  /// morsel structure, so the result is identical); N > pool grows the pool.
+  /// Worker cap: 0 = DefaultThreads(); 1 = run on the caller through the
+  /// serial operators (see the kernel rule above); N > pool grows the pool.
   int threads = 0;
   /// Morsel size in rows (or cells / lattice units); part of the canonical
-  /// decomposition, so changing it may legitimately change last-ulp FP
-  /// results — it is NOT varied by the engine at run time.
+  /// decomposition of the scans and MOLAP reductions. Group-by results do
+  /// not depend on it.
   size_t morsel_rows = kDefaultMorselRows;
   /// nullptr = TaskScheduler::Global().
   TaskScheduler* scheduler = nullptr;
@@ -50,15 +53,7 @@ struct ExecOptions {
   /// claiming work once it fires and the kernel returns kCancelled /
   /// kDeadlineExceeded instead of a partial result. nullptr = never stops.
   const CancelContext* stop = nullptr;
-  /// Routes group-by (and everything built on it: CUBE, ROLLUP, the ROLAP
-  /// backend, cache derivation) through the vectorized radix kernels
-  /// (vec_kernels.h) instead of the scalar row-at-a-time morsel path.
-  /// Output is bit-identical to the serial operators at any thread count
-  /// (see vec_kernels.h for why this is exact, not last-ulp). Inputs past
-  /// the kernel's 32-bit row indexes fall back to the scalar kernel
-  /// transparently.
-  bool vectorized = DefaultVectorized();
-  /// The vectorized kernel's cheap phases (radix scatter, per-partition
+  /// The radix kernel's cheap phases (radix scatter, per-partition
   /// aggregation — a few ns per row) fan out to the pool only when the rows
   /// per worker amortize a dispatch+barrier: n >= this * EffectiveThreads().
   /// Below that they run inline on the caller. 0 = always fan out (tests
@@ -74,12 +69,15 @@ struct ExecOptions {
 };
 
 /// sigma, parallel: same rows (same order) as relational Select — morsels
-/// filter independently, outputs concatenate in morsel order.
+/// filter independently, outputs concatenate in morsel order. One worker
+/// runs Select itself.
 Table ParallelSelect(const Table& input, const RowPredicate& pred,
                      const ExecOptions& options = {});
 
-/// Accumulator states per group, computed with thread-local partial
-/// aggregation and merged via AggState::Merge in ascending morsel order.
+/// Accumulator states per group: GroupByStates at one worker (or past
+/// kRadixRowLimit rows), the radix kernel (VectorizedGroupByStates)
+/// otherwise. Either way the map equals GroupByStates', insertion order
+/// included.
 Result<GroupedStates> ParallelGroupByStates(
     const Table& input, const std::vector<std::string>& group_cols,
     const std::vector<AggSpec>& aggs, const ExecOptions& options = {});
@@ -94,7 +92,8 @@ Result<Table> ParallelGroupBy(const Table& input,
 /// GROUP BY CUBE: the finest grouping is one parallel scan; every coarser
 /// grouping rolls up through the lattice level-synchronously, one task per
 /// grouping set within a level ([ZDN97]'s simultaneous aggregation,
-/// parallelized). Output contract identical to CubeBy.
+/// parallelized). One worker runs CubeBy itself. Output contract identical
+/// to CubeBy.
 Result<Table> ParallelCubeBy(const Table& input,
                              const std::vector<std::string>& dims,
                              const std::vector<AggSpec>& aggs,

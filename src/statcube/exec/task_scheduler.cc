@@ -369,15 +369,20 @@ void ParallelFor(size_t n,
   size_t morsel =
       options.morsel_size == 0 ? kDefaultMorselRows : options.morsel_size;
   size_t nmorsels = (n + morsel - 1) / morsel;
-  TaskScheduler& sched = options.scheduler != nullptr
-                             ? *options.scheduler
-                             : TaskScheduler::Global();
   if (obs::Enabled()) ParallelForCounter().Add(1);
 
-  int workers = options.max_workers;
-  if (workers <= 0) workers = sched.num_threads();
-  if (workers > sched.num_threads()) sched.EnsureThreads(workers);
-  workers = std::min<int>(workers, int(nmorsels));
+  // A one-worker loop never resolves the scheduler, so callers running with
+  // threads = 1 do not start the global pool.
+  TaskScheduler* sched = nullptr;
+  int workers = 1;
+  if (options.max_workers != 1) {
+    sched = options.scheduler != nullptr ? options.scheduler
+                                         : &TaskScheduler::Global();
+    workers = options.max_workers;
+    if (workers <= 0) workers = sched->num_threads();
+    if (workers > sched->num_threads()) sched->EnsureThreads(workers);
+    workers = std::min<int>(workers, int(nmorsels));
+  }
 
   std::atomic<size_t> next{0};
   if (workers <= 1 || nmorsels <= 1) {
@@ -389,7 +394,7 @@ void ParallelFor(size_t n,
     return;
   }
 
-  TaskGroup group(&sched);
+  TaskGroup group(sched);
   for (int r = 0; r < workers; ++r) {
     group.Run([&, r] {
       (void)r;

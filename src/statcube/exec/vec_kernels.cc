@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -44,15 +43,6 @@ double SumBlockAuto(const double* v, size_t n, bool all_integral,
 // ---------------------------------------------------------------------------
 // Vectorized radix group-by
 // ---------------------------------------------------------------------------
-
-bool DefaultVectorized() {
-  static const bool value = [] {
-    const char* env = std::getenv("STATCUBE_VECTORIZED");
-    if (env == nullptr || env[0] == '\0') return false;
-    return !(env[0] == '0' && env[1] == '\0');
-  }();
-  return value;
-}
 
 namespace {
 
@@ -315,11 +305,15 @@ uint32_t DictCode(TupleDict& d, const Table& input,
       return code;
     }
     if (d.hashes[size_t(s)] == h) {
+      // No key columns (empty BY, the CUBE grand total): every row is the
+      // one group, and the empty records must not reach memcmp, whose
+      // pointers may then be null.
       bool equal =
-          (rec_ok && d.rec_ok[size_t(s)] != 0)
-              ? std::memcmp(d.recs.data() + size_t(s) * stride, rec,
-                            stride) == 0
-              : TupleEq(input.row(d.rows[size_t(s)]), row, gidx);
+          stride == 0 ||
+          ((rec_ok && d.rec_ok[size_t(s)] != 0)
+               ? std::memcmp(d.recs.data() + size_t(s) * stride, rec,
+                             stride) == 0
+               : TupleEq(input.row(d.rows[size_t(s)]), row, gidx));
       if (equal) {
         ++d.counts[size_t(s)];
         return uint32_t(s);
@@ -350,16 +344,10 @@ Result<GroupedStates> VectorizedGroupByStates(
   const size_t ncols = gidx.size();
   const size_t naggs = aggs.size();
   if (n == 0) return GroupedStates{};
-  if (n >= size_t(UINT32_MAX)) {
-    // The pipeline stores row indexes as uint32; inputs beyond that route
-    // back to the scalar kernel through the caller's fallback.
-    if (obs::Enabled())
-      obs::MetricsRegistry::Global()
-          .GetCounter("statcube.exec.vec.row_overflow")
-          .Add(1);
-    return Status::Unimplemented(
-        "input exceeds the vectorized kernel's 32-bit row indexes");
-  }
+  if (n >= kRadixRowLimit)
+    return Status::OutOfRange(
+        "input exceeds the radix kernel's 32-bit row indexes; "
+        "ParallelGroupByStates routes such inputs to GroupByStates");
 
   if (obs::Enabled()) {
     obs::RecordBytesTouched(input.ByteSize());

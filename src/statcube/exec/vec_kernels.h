@@ -1,11 +1,11 @@
 /// \file
-/// \brief Vectorized, radix-partitioned aggregation kernels (DESIGN.md §12):
-/// the block-at-a-time group-by core behind `ExecOptions::vectorized`.
+/// \brief Radix-partitioned, block-at-a-time aggregation (DESIGN.md §12):
+/// the group-by kernel ParallelGroupByStates runs with more than one worker.
 ///
-/// The scalar kernels (parallel_kernels.h) run the row-at-a-time path inside
-/// each morsel: build a key Row, hash Values, probe an unordered_map, fold
-/// one AggState per row. `VectorizedGroupByStates` replaces that hot loop
-/// with a columnar pipeline over the paper's §6.1 transposed layout:
+/// The serial GroupByStates runs row at a time: build a key Row, hash
+/// Values, probe an unordered_map, fold one AggState per row.
+/// `VectorizedGroupByStates` replaces that loop with a columnar pipeline
+/// over the paper's §6.1 transposed layout:
 ///
 ///   1. **Columnarize** — one parallel pass dictionary-encodes each morsel's
 ///      group-column *tuples* into dense local codes through an
@@ -37,10 +37,9 @@
 ///      is rebuilt from the group's first input row (the exact
 ///      representative the serial map keeps).
 ///
-/// Determinism contract (extends parallel_kernels.h's): the output is
+/// Determinism contract (parallel_kernels.h's): the output is
 /// **bit-identical for any thread count, and bit-identical to the serial
-/// GroupByStates for every measure** — including non-integral doubles where
-/// the scalar parallel kernel only promises last-ulp agreement. Two
+/// GroupByStates for every measure** — including non-integral doubles. Two
 /// properties make this exact rather than approximate:
 ///
 ///   * the stable scatter hands each partition its rows in global row
@@ -63,6 +62,7 @@
 #ifndef STATCUBE_EXEC_VEC_KERNELS_H_
 #define STATCUBE_EXEC_VEC_KERNELS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -80,6 +80,10 @@ namespace statcube::exec {
 /// keep per-partition state cache-resident while out-scaling kMaxThreads.
 inline constexpr size_t kRadixPartitions = 64;
 
+/// Row indexes are uint32: inputs with this many rows or more exceed the
+/// kernel, and ParallelGroupByStates hands them to the serial GroupByStates.
+inline constexpr size_t kRadixRowLimit = UINT32_MAX;
+
 /// Picks the reassociated block sum when
 /// `vec::ReorderIsExact(all_integral, max_abs, n)` holds and the ordered
 /// loop otherwise; always bit-identical to `vec::SumBlockOrdered`. Lives in
@@ -89,15 +93,13 @@ inline constexpr size_t kRadixPartitions = 64;
 double SumBlockAuto(const double* v, size_t n, bool all_integral,
                     double max_abs);
 
-/// Accumulator states per group over the vectorized pipeline above. Output
+/// Accumulator states per group over the radix pipeline above. Output
 /// is bit-identical to the serial GroupByStates (and therefore to itself at
 /// every thread count). Honors `options.stop` between phases like every
 /// parallel kernel.
 ///
-/// Returns Unimplemented when the input does not fit the kernel's 32-bit
-/// row indexes (more than 2^32 - 1 rows) — the router in
-/// ParallelGroupByStates falls back to the scalar kernel and bumps
-/// `statcube.exec.vec.fallbacks`.
+/// Returns OutOfRange for an input of kRadixRowLimit rows or more, which
+/// ParallelGroupByStates never passes.
 Result<GroupedStates> VectorizedGroupByStates(
     const Table& input, const std::vector<std::string>& group_cols,
     const std::vector<AggSpec>& aggs, const ExecOptions& options = {});

@@ -175,7 +175,7 @@ void MetricSampler::AddDefaultStatuszSeries() {
                   {"statcube.cache.hits", "statcube.cache.misses"});
   AddCounterRate("statcube.exec.tasks");
   AddCounterRate("statcube.exec.morsels");
-  AddCounterRate("statcube.exec.vec.rows");  // vectorized group-by throughput
+  AddCounterRate("statcube.exec.vec.rows");  // radix group-by throughput
   AddGauge("statcube.exec.queue_depth");
   AddGauge("statcube.exec.pool_size");
 }

@@ -120,7 +120,7 @@ class MetricSampler {
   void AddHistogramWindow(const std::string& metric);
   /// Registers the series /statusz renders: query rate, sliding query
   /// latency percentiles, cache hit rate, scheduler queue depth and pool
-  /// size, task/morsel rates, and the vectorized-kernel row rate.
+  /// size, task/morsel rates, and the radix-kernel row rate.
   void AddDefaultStatuszSeries();
 
   /// Starts the background sampling thread (idempotent).

@@ -91,34 +91,7 @@ class MolapBackend : public CubeBackend {
                     }))
       return out;
 
-    if (query.threads != 1) {
-      STATCUBE_RETURN_NOT_OK(GroupBySumParallel(query, gidx, members, &out));
-    } else {
-      std::vector<size_t> pick(gidx.size(), 0);
-      while (true) {
-        std::vector<EqFilter> filters = query.filters;
-        Row row;
-        for (size_t i = 0; i < gidx.size(); ++i) {
-          const Value& v = *members[i][pick[i]];
-          filters.push_back({dim_names_[gidx[i]], v});
-          row.push_back(v);
-        }
-        STATCUBE_ASSIGN_OR_RETURN(double s, cube_.SumWhere(filters));
-        row.push_back(Value(s));
-        out.AppendRowUnchecked(std::move(row));
-        // Odometer.
-        size_t d = gidx.size();
-        bool done = true;
-        while (d-- > 0) {
-          if (++pick[d] < members[d].size()) {
-            done = false;
-            break;
-          }
-          pick[d] = 0;
-        }
-        if (done || gidx.empty()) break;
-      }
-    }
+    STATCUBE_RETURN_NOT_OK(SumGroups(query, gidx, members, &out));
     STATCUBE_RETURN_NOT_OK(out.SortBy(query.group_dims));
     return out;
   }
@@ -128,10 +101,11 @@ class MolapBackend : public CubeBackend {
 
  private:
   // One slab sum per group coordinate, computed concurrently. Group index g
-  // decodes to the same pick vector the serial odometer visits at step g
-  // (last group dimension fastest), so the pre-sorted row order — and after
-  // SortBy the output — is identical to the serial path.
-  Status GroupBySumParallel(
+  // decodes to the g-th pick vector of an odometer over `members` (last
+  // group dimension fastest); rows land at their group index, so the
+  // pre-sorted row order — and after SortBy the output — is the same at
+  // every thread count.
+  Status SumGroups(
       const CubeQuery& query, const std::vector<size_t>& gidx,
       const std::vector<std::vector<const Value*>>& members, Table* out) {
     size_t ngroups = 1;
@@ -143,8 +117,11 @@ class MolapBackend : public CubeBackend {
     exec::ParallelForOptions loop;
     loop.label = "molap_groupby";
     loop.max_workers = xo.EffectiveThreads();
-    // One group is a whole slab sum; small morsels balance uneven slabs.
-    loop.morsel_size = 4;
+    // One group is a whole slab sum. Four morsels per worker balance uneven
+    // slabs without one morsel span per handful of groups, which on a
+    // one-worker call would bury the profile (8000 groups -> 2000 spans).
+    loop.morsel_size = std::max<size_t>(
+        4, ngroups / (size_t(loop.max_workers) * 4));
 
     Mutex err_mu;
     Status first_error = Status::OK();
@@ -221,45 +198,31 @@ class RolapBackend : public CubeBackend {
         if (r[fidx[i]] != query.filters[i].value) return false;
       return true;
     };
-    if (query.threads != 1) {
-      // Morsel-parallel scan; per-morsel matches concatenate in morsel
-      // order, which is the serial row order.
-      exec::ParallelForOptions loop;
-      loop.label = "rolap_filter_scan";
-      exec::ExecOptions xo;
-      xo.threads = query.threads;
-      loop.max_workers = xo.EffectiveThreads();
-      std::vector<std::vector<Row>> parts(
-          table_.num_rows() == 0
-              ? 0
-              : (table_.num_rows() + loop.morsel_size - 1) / loop.morsel_size);
-      exec::ParallelFor(
-          table_.num_rows(),
-          [&](size_t m, size_t begin, size_t end) {
-            for (size_t r = begin; r < end; ++r)
-              if (matches(table_.row(r))) parts[m].push_back(table_.row(r));
-          },
-          loop);
-      for (std::vector<Row>& part : parts)
-        for (Row& r : part) filtered.AppendRowUnchecked(std::move(r));
-    } else {
-      for (const Row& r : table_.rows())
-        if (matches(r)) filtered.AppendRowUnchecked(r);
-    }
+    // Morsel scan; per-morsel matches concatenate in morsel order, which
+    // is the row order.
+    exec::ParallelForOptions loop;
+    loop.label = "rolap_filter_scan";
+    exec::ExecOptions xo;
+    xo.threads = query.threads;
+    loop.max_workers = xo.EffectiveThreads();
+    std::vector<std::vector<Row>> parts(
+        table_.num_rows() == 0
+            ? 0
+            : (table_.num_rows() + loop.morsel_size - 1) / loop.morsel_size);
+    exec::ParallelFor(
+        table_.num_rows(),
+        [&](size_t m, size_t begin, size_t end) {
+          for (size_t r = begin; r < end; ++r)
+            if (matches(table_.row(r))) parts[m].push_back(table_.row(r));
+        },
+        loop);
+    for (std::vector<Row>& part : parts)
+      for (Row& r : part) filtered.AppendRowUnchecked(std::move(r));
     obs::RecordOperator("backend.filter_scan", table_.num_rows(),
                         filtered.num_rows());
     std::string measure = table_.schema().column(measure_idx_).name;
-    if (query.threads != 1) {
-      exec::ExecOptions xo;
-      xo.threads = query.threads;
-      xo.vectorized = query.vectorized;
-      return exec::ParallelGroupBy(filtered, query.group_dims,
-                                   {{AggFn::kSum, measure, "sum"}}, xo);
-    }
-    STATCUBE_ASSIGN_OR_RETURN(
-        Table out,
-        GroupBy(filtered, query.group_dims, {{AggFn::kSum, measure, "sum"}}));
-    return out;
+    return exec::ParallelGroupBy(filtered, query.group_dims,
+                                 {{AggFn::kSum, measure, "sum"}}, xo);
   }
 
   size_t ByteSize() const override {

@@ -30,12 +30,6 @@
 #include "statcube/storage/dictionary.h"
 #include "statcube/storage/stores.h"
 
-namespace statcube::exec {
-/// See exec/parallel_kernels.h (declared here to avoid pulling the whole
-/// kernel layer into every backend user).
-bool DefaultVectorized();
-}  // namespace statcube::exec
-
 namespace statcube {
 
 /// A dimension-subset aggregate query: SUM(measure) grouped by `group_dims`
@@ -45,14 +39,10 @@ struct CubeQuery {
   std::vector<std::string> group_dims;
   /// Equality filters ANDed together; empty = no filtering.
   std::vector<EqFilter> filters;
-  /// 1 (default) = the serial answer path; N != 1 routes the backend's
-  /// scans/groupings through the morsel-parallel kernels (statcube/exec)
-  /// with N workers (0 = exec::DefaultThreads()). Results are identical.
+  /// Worker cap for the backend's scans and groupings, which run through
+  /// the morsel kernels (statcube/exec): 1 (default) runs them on the
+  /// caller, 0 = exec::DefaultThreads(). Results are identical.
   int threads = 1;
-  /// Routes the parallel grouping (threads != 1) through the vectorized
-  /// radix kernels (exec/vec_kernels.h). Results stay bit-identical; see
-  /// ExecOptions::vectorized.
-  bool vectorized = exec::DefaultVectorized();
 };
 
 /// Backend-independent query interface over one (object, measure) pair.

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cctype>
 
+#include "statcube/exec/parallel_kernels.h"
 #include "statcube/query/query_input.h"
-#include "statcube/relational/cube_operator.h"
 #include "statcube/relational/expression.h"
-#include "statcube/relational/operators.h"
 
 namespace statcube {
 
@@ -216,7 +215,12 @@ Result<ParsedQuery> ParseQuery(const std::string& text) {
 }
 
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query) {
+                           const ParsedQuery& query, int threads,
+                           const CancelContext* stop) {
+  exec::ExecOptions exec_options;
+  exec_options.threads = threads;
+  exec_options.stop = stop;
+
   STATCUBE_ASSIGN_OR_RETURN(Table data, query::BuildQueryInput(obj, query));
   if (!query.where.empty()) {
     obs::Span filter_span("filter");
@@ -226,7 +230,13 @@ Result<Table> ExecuteQuery(const StatisticalObject& obj,
                                 expr::ColumnEq(data.schema(), attr, v));
       preds.push_back(std::move(p));
     }
-    data = Select(data, expr::And(std::move(preds)));
+    data = exec::ParallelSelect(data, expr::And(std::move(preds)),
+                                exec_options);
+    // ParallelSelect returns a bare Table, so a stop that fired during the
+    // filter surfaces here (monotonic: once fired, Check keeps reporting it).
+    if (stop != nullptr)
+      if (StopReason r = stop->Check(); r != StopReason::kNone)
+        return StopStatus(r, "filter");
   }
 
   // Fill default output names.
@@ -234,8 +244,9 @@ Result<Table> ExecuteQuery(const StatisticalObject& obj,
   for (auto& a : aggs)
     if (a.output_name.empty()) a.output_name = a.EffectiveName();
   obs::Span agg_span("aggregate");
-  if (query.cube) return CubeBy(data, query.by, aggs);
-  return GroupBy(data, query.by, aggs);
+  if (query.cube)
+    return exec::ParallelCubeBy(data, query.by, aggs, exec_options);
+  return exec::ParallelGroupBy(data, query.by, aggs, exec_options);
 }
 
 Result<Table> Query(const StatisticalObject& obj, const std::string& text) {

@@ -54,25 +54,26 @@ Result<ParsedQuery> ParseQuery(const std::string& text);
 /// identifiers (dimension, hierarchy level, or measure), rolls the object up
 /// to any referenced hierarchy levels, applies WHERE equalities, groups and
 /// aggregates. Returns the result table (group columns then aggregates).
+/// The filter and the grouping/CUBE run through the exec::Parallel* kernels
+/// with `threads` workers (0 = exec::DefaultThreads()); one worker runs the
+/// serial relational operators. The table is bit-identical at every thread
+/// count (exec/parallel_kernels.h). `stop` (optional) is the query's stop
+/// context: the call returns kCancelled / kDeadlineExceeded instead of a
+/// partial table once it fires.
 Result<Table> ExecuteQuery(const StatisticalObject& obj,
-                           const ParsedQuery& query);
+                           const ParsedQuery& query, int threads = 1,
+                           const CancelContext* stop = nullptr);
 
 /// Parse + execute.
 Result<Table> Query(const StatisticalObject& obj, const std::string& text);
 
-/// ExecuteQuery over the parallel kernels (statcube/exec): the WHERE filter
-/// and the grouping/CUBE run morsel-parallel with `threads` workers (0 =
-/// exec::DefaultThreads()). Output is bit-identical across thread counts;
-/// see the determinism contract in exec/parallel_kernels.h for when it also
-/// matches ExecuteQuery exactly. `stop` (optional) is the query's stop
-/// context — morsel loops check it between morsels and the call returns
-/// kCancelled / kDeadlineExceeded instead of a partial table once it fires.
-/// `vectorized` routes the grouping through the radix kernels
-/// (exec/vec_kernels.h) — same results, bit for bit.
-Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
-                                   const ParsedQuery& query, int threads,
-                                   const CancelContext* stop = nullptr,
-                                   bool vectorized = exec::DefaultVectorized());
+/// ExecuteQuery under its earlier name, kept only because the benchmark
+/// harness (perfbench/src/layers.cc) still calls it.
+inline Result<Table> ExecuteQueryParallel(const StatisticalObject& obj,
+                                          const ParsedQuery& query,
+                                          int threads) {
+  return ExecuteQuery(obj, query, threads);
+}
 
 /// Whether a cube backend can answer `query`: OK for exactly one SUM
 /// aggregate, BY plain dimensions (no CUBE) and WHERE equalities on
@@ -86,13 +87,11 @@ Status BackendExpressible(const StatisticalObject& obj,
 /// query served by either physical organization). Only backend-expressible
 /// queries are accepted (BackendExpressible; the SUM must be over the
 /// backend's measure); anything else returns Unimplemented so callers can
-/// fall back to ExecuteQuery. `threads` != 1 routes the backend's
-/// scan/grouping through the parallel kernels (CubeQuery::threads);
-/// `vectorized` is forwarded to CubeQuery::vectorized.
+/// fall back to ExecuteQuery. `threads` is the backend's worker cap
+/// (CubeQuery::threads).
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
                                     const ParsedQuery& query,
-                                    CubeBackend& backend, int threads = 1,
-                                    bool vectorized = exec::DefaultVectorized());
+                                    CubeBackend& backend, int threads = 1);
 
 /// Which execution engine QueryProfiled routes through.
 enum class QueryEngine { kRelational, kMolap, kRolap, kRolapBitmap };
@@ -105,10 +104,10 @@ Result<QueryEngine> EngineFromName(const std::string& name);
 
 struct QueryOptions {
   QueryEngine engine = QueryEngine::kRelational;
-  /// Execution parallelism: 1 (default) keeps the legacy serial operators;
-  /// N > 1 routes scans and groupings through the morsel-parallel kernels
-  /// with N workers; 0 means exec::DefaultThreads() (STATCUBE_THREADS or
-  /// the hardware concurrency).
+  /// Worker cap for scans and groupings: 1 (default) runs the serial
+  /// operators, N > 1 the parallel kernels with N workers, 0 means
+  /// exec::DefaultThreads() (STATCUBE_THREADS or the hardware concurrency).
+  /// Any value returns bit-identical tables.
   int threads = 1;
   /// Rows shown by the render phase of QueryProfiled.
   size_t render_limit = 25;
@@ -137,12 +136,6 @@ struct QueryOptions {
   /// the /queryz registry entry, and the flight-recorder record so every
   /// observability surface can attribute the work.
   std::string tenant;
-  /// Routes groupings (parallel path, backends, cache derivation) through
-  /// the vectorized radix kernels (exec/vec_kernels.h). Any setting returns
-  /// bit-identical tables; defaults to the STATCUBE_VECTORIZED environment
-  /// gate. Exposed as `--vectorized` in the CLI and `"vectorized"` in the
-  /// /query JSON body.
-  bool vectorized = exec::DefaultVectorized();
 };
 
 /// A query result with its profile (and the table already rendered, so the

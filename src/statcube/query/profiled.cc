@@ -47,12 +47,10 @@ Status BackendExpressible(const StatisticalObject& obj,
 
 Result<Table> ExecuteQueryOnBackend(const StatisticalObject& obj,
                                     const ParsedQuery& query,
-                                    CubeBackend& backend, int threads,
-                                    bool vectorized) {
+                                    CubeBackend& backend, int threads) {
   STATCUBE_RETURN_NOT_OK(BackendExpressible(obj, query));
   CubeQuery cq;
   cq.threads = threads;
-  cq.vectorized = vectorized;
   cq.group_dims = query.by;
   for (const auto& [attr, v] : query.where) cq.filters.push_back({attr, v});
   obs::Span span("execute");
@@ -89,8 +87,9 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
   STATCUBE_ASSIGN_OR_RETURN(q, ParseQuery(text));
 
   // Stop configuration: a token copy shared with the caller (if any) plus
-  // the absolute deadline. The CancelScope hands it to serial row loops
-  // thread-locally; parallel paths get it explicitly via ExecOptions.
+  // the absolute deadline. The CancelScope hands it thread-locally to the
+  // serial row loops of callers that carry no ExecOptions (cube backends,
+  // cache derivation); ExecuteQuery gets it explicitly.
   CancellationToken token =
       options.cancel != nullptr ? *options.cancel : CancellationToken();
   CancelContext cctx;
@@ -158,8 +157,8 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
                 rc.FindDerivationSource(*key)) {
           obs::Span derive_span("cache.derive");
           const auto derive_start = std::chrono::steady_clock::now();
-          Result<Table> derived = cache::RollupDerived(
-              *src, *key, options.threads, options.vectorized);
+          Result<Table> derived =
+              cache::RollupDerived(*src, *key, options.threads);
           if (derived.ok()) {
             out = *std::move(derived);
             executed = true;
@@ -215,9 +214,8 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
       }
     }
     if (backend.ok()) {
-      Result<Table> res = ExecuteQueryOnBackend(obj, q, **backend,
-                                                options.threads,
-                                                options.vectorized);
+      Result<Table> res =
+          ExecuteQueryOnBackend(obj, q, **backend, options.threads);
       if (res.ok()) {
         out = std::move(res).value();
         executed = true;
@@ -236,10 +234,7 @@ Result<ProfiledQuery> QueryProfiled(const StatisticalObject& obj,
     Result<Table> res = Status::Internal("unreachable");
     {
       obs::Span exec_span("execute");
-      res = options.threads != 1
-                ? ExecuteQueryParallel(obj, q, options.threads, &cctx,
-                                       options.vectorized)
-                : ExecuteQuery(obj, q);
+      res = ExecuteQuery(obj, q, options.threads, &cctx);
     }
     if (!res.ok()) {
       if (is_stop(res.status())) return fail(res.status());

@@ -20,7 +20,7 @@
 
 namespace statcube::query {
 
-/// Builds the input table of ExecuteQuery / ExecuteQueryParallel.
+/// Builds the input table of ExecuteQuery.
 ///
 /// BY and WHERE identifiers resolve (in sorted order) to a dimension, a
 /// column of the object's data, or a hierarchy level above some dimension's

@@ -149,11 +149,10 @@ obs::HttpResponse QueryFrontDoor::ServeRequest(const obs::HttpRequest& req) {
     qopt.threads = int(v->AsInt());
   }
   if (const JsonValue* v = body.Find("vectorized")) {
+    // Accepted and ignored: the executor has one group-by kernel per thread
+    // count, so clients that still send the old kernel switch keep working.
     if (!v->is_bool())
       return JsonError(400, "\"vectorized\" must be a boolean");
-    // Bit-identical either way (exec/vec_kernels.h); exposed so tenants can
-    // A/B the kernels per request.
-    qopt.vectorized = v->AsBool();
   }
   if (const JsonValue* v = body.Find("deadline_ms")) {
     if (!v->is_int() || v->AsInt() < 0)

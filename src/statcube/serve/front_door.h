@@ -29,7 +29,7 @@
 ///  "deadline_ms": 250,          // 0 = no deadline
 ///  "tenant":  "team-fraud",     // [A-Za-z0-9_.-]{1,64}; default "default"
 ///  "render":  true,             // include the ASCII rendering too
-///  "vectorized": true}          // radix kernels; default STATCUBE_VECTORIZED
+///  "vectorized": true}          // accepted for old clients; no effect
 /// ```
 ///
 /// Unknown keys are a 400, not silently ignored — a client that misspells

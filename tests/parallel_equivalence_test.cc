@@ -1,9 +1,9 @@
 // Serial/parallel equivalence: every parallel kernel must produce output
-// BIT-identical to its serial counterpart on exact-sum measures, and
-// bit-identical to itself at any thread count (1/2/4/8) on every measure —
-// the determinism contract of statcube/exec (parallel_kernels.h, DESIGN.md
-// §6). Covered across all four paper workloads (census, hmo, retail,
-// stocks), the query path, the cube backends, the MOLAP reductions, and the
+// BIT-identical to its serial counterpart on every measure (exact sums and
+// the inexact stock close price alike) at any thread count (1/2/4/8) — the
+// determinism contract of statcube/exec (parallel_kernels.h, DESIGN.md §6).
+// Covered across all four paper workloads (census, hmo, retail, stocks), the
+// query path, the cube backends, the MOLAP reductions, and the
 // materialization layer.
 
 #include "statcube/exec/parallel_kernels.h"
@@ -66,6 +66,24 @@ exec::ExecOptions Threads(int t, size_t morsel_rows = 512) {
   return o;
 }
 
+// Threads(t) with the radix kernel's cheap phases (scatter, per-partition
+// aggregation) forced onto the pool even at test sizes.
+exec::ExecOptions FanOut(int t, size_t morsel_rows = 512) {
+  exec::ExecOptions o = Threads(t, morsel_rows);
+  o.vec_fanout_rows = 0;
+  return o;
+}
+
+// Both layouts of the parallel phases at `t` workers.
+std::vector<exec::ExecOptions> Layouts(int t, size_t morsel_rows = 512) {
+  return {Threads(t, morsel_rows), FanOut(t, morsel_rows)};
+}
+
+std::string Label(int t, const exec::ExecOptions& o) {
+  return "@" + std::to_string(t) +
+         (o.vec_fanout_rows == 0 ? " fan-out" : "");
+}
+
 // One shared instance of each paper workload (§3) — built once, the default
 // sizes give multi-morsel tables where it matters (census 5184 rows, retail
 // 8000 fact rows).
@@ -121,8 +139,6 @@ TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
     std::vector<std::string> group_cols;
     std::vector<AggSpec> aggs;
   } cases[] = {
-      // Every workload measure is integer-valued except the stock close
-      // price, so these sums are exact and serial == parallel bit-for-bit.
       {&w.retail.flat,
        {"category", "city"},
        {{AggFn::kSum, "amount", ""},
@@ -135,19 +151,25 @@ TEST(KernelEquivalence, GroupByMatchesSerialOnEveryWorkload) {
       {&w.hmo.data(),
        {"hospital"},
        {{AggFn::kSum, "cost", ""}, {AggFn::kSum, "visits", ""}}},
+      // Inexact measure on purpose: close is a non-integer double, and the
+      // parallel path must still match serial bit-for-bit.
       {&w.stocks.data(),
        {"stock"},
-       {{AggFn::kSum, "volume", ""}, {AggFn::kCountAll, "", ""}}},
+       {{AggFn::kSum, "volume", ""},
+        {AggFn::kAvg, "close", ""},
+        {AggFn::kCountAll, "", ""}}},
   };
   for (const auto& c : cases) {
     auto serial = GroupBy(*c.table, c.group_cols, c.aggs);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     for (int t : {1, 2, 4, 8}) {
-      auto parallel =
-          exec::ParallelGroupBy(*c.table, c.group_cols, c.aggs, Threads(t));
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      ExpectTablesIdentical(*serial, *parallel,
-                            c.table->name() + "@" + std::to_string(t));
+      for (const exec::ExecOptions& o : Layouts(t)) {
+        auto parallel =
+            exec::ParallelGroupBy(*c.table, c.group_cols, c.aggs, o);
+        ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+        ExpectTablesIdentical(*serial, *parallel,
+                              c.table->name() + Label(t, o));
+      }
     }
   }
 }
@@ -158,11 +180,16 @@ TEST(KernelEquivalence, CubeByMatchesSerial) {
                                {AggFn::kCount, "qty", ""}};
   auto serial = CubeBy(w.retail.flat, {"category", "city", "month"}, aggs);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  // The lattice roll-ups fold groups in map iteration order, so this holds
+  // only because the radix kernel's base map replays the serial insertion
+  // order.
   for (int t : {1, 2, 4, 8}) {
-    auto parallel = exec::ParallelCubeBy(
-        w.retail.flat, {"category", "city", "month"}, aggs, Threads(t));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectTablesIdentical(*serial, *parallel, "cube@" + std::to_string(t));
+    for (const exec::ExecOptions& o : Layouts(t)) {
+      auto parallel = exec::ParallelCubeBy(
+          w.retail.flat, {"category", "city", "month"}, aggs, o);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectTablesIdentical(*serial, *parallel, "cube" + Label(t, o));
+    }
   }
 }
 
@@ -172,34 +199,87 @@ TEST(KernelEquivalence, RollupByMatchesSerial) {
   auto serial = RollupBy(w.census.data(), {"race", "sex", "age_group"}, aggs);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int t : {1, 2, 4, 8}) {
-    auto parallel = exec::ParallelRollupBy(
-        w.census.data(), {"race", "sex", "age_group"}, aggs, Threads(t));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectTablesIdentical(*serial, *parallel, "rollup@" + std::to_string(t));
+    for (const exec::ExecOptions& o : Layouts(t)) {
+      auto parallel = exec::ParallelRollupBy(
+          w.census.data(), {"race", "sex", "age_group"}, aggs, o);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectTablesIdentical(*serial, *parallel, "rollup" + Label(t, o));
+    }
   }
 }
 
 TEST(KernelEquivalence, ThreadCountInvariantOnInexactMeasure) {
-  // avg(close) sums non-integer doubles: parallel output need not match the
-  // serial operator bit-for-bit, but it MUST match itself at every thread
-  // count — morsel boundaries and merge order never depend on the workers.
+  // avg/sum/variance(close) add non-integer doubles, so the accumulation
+  // order is visible in the last bits. Small morsels force many partial
+  // dictionaries and a multi-morsel scatter; every group must still see the
+  // serial scan's order, bit for bit, at every thread count.
   const auto& w = Workloads::Get();
   std::vector<AggSpec> aggs = {{AggFn::kAvg, "close", ""},
-                               {AggFn::kSum, "close", ""}};
-  auto baseline = exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs,
-                                        Threads(1, /*morsel_rows=*/64));
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+                               {AggFn::kSum, "close", ""},
+                               {AggFn::kVariance, "close", ""}};
+  auto serial = GroupBy(w.stocks.data(), {"stock"}, aggs);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (int t : {2, 4, 8}) {
-    auto other = exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs,
-                                       Threads(t, /*morsel_rows=*/64));
-    ASSERT_TRUE(other.ok()) << other.status().ToString();
-    ExpectTablesIdentical(*baseline, *other, "close@" + std::to_string(t));
+    for (const exec::ExecOptions& o : Layouts(t, /*morsel_rows=*/64)) {
+      auto parallel =
+          exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs, o);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectTablesIdentical(*serial, *parallel, "close" + Label(t, o));
+    }
+  }
+}
+
+TEST(KernelEquivalence, EmptyByAndEmptyInput) {
+  // Empty BY list = one global group over the measure slabs (the block-sum
+  // fast path); an empty input yields an empty result in both paths.
+  const auto& w = Workloads::Get();
+  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
+                               {AggFn::kMin, "amount", ""},
+                               {AggFn::kMax, "amount", ""},
+                               {AggFn::kAvg, "amount", ""},
+                               {AggFn::kCountAll, "", ""}};
+  auto serial = GroupBy(w.retail.flat, {}, aggs);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  Table empty("empty", w.retail.flat.schema());
+  auto empty_serial = GroupBy(empty, {"city"}, aggs);
+  ASSERT_TRUE(empty_serial.ok());
+  for (int t : {1, 2, 4, 8}) {
+    auto all = exec::ParallelGroupBy(w.retail.flat, {}, aggs, FanOut(t));
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    ExpectTablesIdentical(*serial, *all, "empty-by@" + std::to_string(t));
+    auto none = exec::ParallelGroupBy(empty, {"city"}, aggs, FanOut(t));
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    ExpectTablesIdentical(*empty_serial, *none,
+                          "empty-input@" + std::to_string(t));
+  }
+}
+
+TEST(KernelEquivalence, SingleKeySkew) {
+  // Every row carries the same key, so one radix partition receives the
+  // whole table while the other 63 stay empty — the degenerate load-balance
+  // case. Inexact measure values make accumulation order observable.
+  Schema schema;
+  schema.AddColumn("k", ValueType::kString);
+  schema.AddColumn("v", ValueType::kDouble);
+  Table skew("skew", schema);
+  for (int i = 0; i < 5000; ++i)
+    skew.AppendRowUnchecked({Value("only"), Value(0.1 * double(i % 997))});
+  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
+                               {AggFn::kAvg, "v", ""},
+                               {AggFn::kMin, "v", ""},
+                               {AggFn::kMax, "v", ""}};
+  auto serial = GroupBy(skew, {"k"}, aggs);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  for (int t : {1, 2, 4, 8}) {
+    auto parallel = exec::ParallelGroupBy(skew, {"k"}, aggs, FanOut(t, 256));
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectTablesIdentical(*serial, *parallel, "skew@" + std::to_string(t));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Query path: ExecuteQuery vs ExecuteQueryParallel on the §5.1 language,
-// across all four workloads.
+// Query path: ExecuteQuery at one worker (the serial operators) vs 1/2/4/8
+// workers on the §5.1 language, across all four workloads.
 
 void ExpectQueryEquivalent(const StatisticalObject& obj,
                            const std::string& text) {
@@ -208,7 +288,7 @@ void ExpectQueryEquivalent(const StatisticalObject& obj,
   auto serial = ExecuteQuery(obj, *parsed);
   ASSERT_TRUE(serial.ok()) << text << ": " << serial.status().ToString();
   for (int t : {1, 2, 4, 8}) {
-    auto parallel = ExecuteQueryParallel(obj, *parsed, t);
+    auto parallel = ExecuteQuery(obj, *parsed, t);
     ASSERT_TRUE(parallel.ok()) << text << ": " << parallel.status().ToString();
     ExpectTablesIdentical(*serial, *parallel,
                           text + " @" + std::to_string(t) + " threads");
@@ -277,7 +357,7 @@ TEST(QueryEquivalence, StockQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Backends: MOLAP and ROLAP GroupBySum with threads=1 vs threads=4.
+// Backends: MOLAP and ROLAP GroupBySum with threads=1 vs 2/4/8.
 
 TEST(BackendEquivalence, GroupBySumThreadInvariant) {
   const auto& w = Workloads::Get();
@@ -303,7 +383,7 @@ TEST(BackendEquivalence, GroupBySumThreadInvariant) {
       q.threads = 1;
       auto serial = backend->GroupBySum(q);
       ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      for (int t : {2, 4}) {
+      for (int t : {2, 4, 8}) {
         q.threads = t;
         auto parallel = backend->GroupBySum(q);
         ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
@@ -414,237 +494,6 @@ TEST(MaterializeEquivalence, MaterializeAllMatchesSerialOrder) {
     auto b = parallel.Query(m);
     ASSERT_TRUE(a.ok() && b.ok());
     ExpectTablesIdentical(*a, *b, "view mask " + std::to_string(m));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized kernels (exec/vec_kernels.h): the radix group-by carries a
-// STRONGER contract than the scalar-parallel path — its output is
-// bit-identical to the SERIAL operators for EVERY measure (exact-sum or
-// not) at every thread count, because the stable radix scatter replays each
-// group's serial accumulation order and groups are emitted in global
-// first-occurrence order. So every test below compares against serial
-// directly, including the inexact stock close price that the scalar-parallel
-// path only promises thread-count invariance for.
-
-exec::ExecOptions VecThreads(int t, size_t morsel_rows = 512) {
-  exec::ExecOptions o = Threads(t, morsel_rows);
-  o.vectorized = true;
-  o.vec_fanout_rows = 0;  // force the parallel phases even at test sizes
-  return o;
-}
-
-TEST(VectorizedEquivalence, GroupByMatchesSerialOnEveryWorkload) {
-  const auto& w = Workloads::Get();
-  struct Case {
-    const Table* table;
-    std::vector<std::string> group_cols;
-    std::vector<AggSpec> aggs;
-  } cases[] = {
-      {&w.retail.flat,
-       {"category", "city"},
-       {{AggFn::kSum, "amount", ""},
-        {AggFn::kCount, "qty", ""},
-        {AggFn::kMin, "amount", ""},
-        {AggFn::kMax, "amount", ""}}},
-      {&w.census.data(),
-       {"race", "sex"},
-       {{AggFn::kSum, "population", ""}, {AggFn::kAvg, "population", ""}}},
-      {&w.hmo.data(),
-       {"hospital"},
-       {{AggFn::kSum, "cost", ""}, {AggFn::kSum, "visits", ""}}},
-      // Inexact measure on purpose: close is a non-integer double, and the
-      // vectorized path must STILL match serial bit-for-bit.
-      {&w.stocks.data(),
-       {"stock"},
-       {{AggFn::kSum, "volume", ""},
-        {AggFn::kAvg, "close", ""},
-        {AggFn::kCountAll, "", ""}}},
-  };
-  for (const auto& c : cases) {
-    auto serial = GroupBy(*c.table, c.group_cols, c.aggs);
-    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-    for (int t : {1, 2, 4, 8}) {
-      auto vec = exec::ParallelGroupBy(*c.table, c.group_cols, c.aggs,
-                                       VecThreads(t));
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      ExpectTablesIdentical(*serial, *vec,
-                            c.table->name() + " vec@" + std::to_string(t));
-    }
-  }
-}
-
-TEST(VectorizedEquivalence, MatchesSerialOnInexactMeasureAtSmallMorsels) {
-  // Small morsels force many partial dictionaries and a multi-morsel
-  // scatter; the per-group accumulation order must still be the serial one.
-  const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kAvg, "close", ""},
-                               {AggFn::kSum, "close", ""},
-                               {AggFn::kVariance, "close", ""}};
-  auto serial = GroupBy(w.stocks.data(), {"stock"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int t : {1, 2, 4, 8}) {
-    auto vec = exec::ParallelGroupBy(w.stocks.data(), {"stock"}, aggs,
-                                     VecThreads(t, /*morsel_rows=*/64));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectTablesIdentical(*serial, *vec, "close vec@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, CubeAndRollupMatchSerial) {
-  // CUBE/ROLLUP exercise RollupGroupedStates over the vectorized base map:
-  // lattice roll-ups fold groups in map iteration order, so this only holds
-  // because the vectorized map replays the serial insertion order.
-  const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kCount, "qty", ""}};
-  auto cube_serial = CubeBy(w.retail.flat, {"category", "city", "month"}, aggs);
-  ASSERT_TRUE(cube_serial.ok());
-  std::vector<AggSpec> census_aggs = {{AggFn::kSum, "population", ""}};
-  auto rollup_serial =
-      RollupBy(w.census.data(), {"race", "sex", "age_group"}, census_aggs);
-  ASSERT_TRUE(rollup_serial.ok());
-  for (int t : {1, 2, 4, 8}) {
-    auto cube = exec::ParallelCubeBy(
-        w.retail.flat, {"category", "city", "month"}, aggs, VecThreads(t));
-    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-    ExpectTablesIdentical(*cube_serial, *cube,
-                          "vec cube@" + std::to_string(t));
-    auto rollup = exec::ParallelRollupBy(
-        w.census.data(), {"race", "sex", "age_group"}, census_aggs,
-        VecThreads(t));
-    ASSERT_TRUE(rollup.ok()) << rollup.status().ToString();
-    ExpectTablesIdentical(*rollup_serial, *rollup,
-                          "vec rollup@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, EmptyByAndEmptyInput) {
-  // Empty BY list = one global group over the measure slabs (the block-sum
-  // fast path); an empty input yields an empty result in both paths.
-  const auto& w = Workloads::Get();
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "amount", ""},
-                               {AggFn::kMin, "amount", ""},
-                               {AggFn::kMax, "amount", ""},
-                               {AggFn::kAvg, "amount", ""},
-                               {AggFn::kCountAll, "", ""}};
-  auto serial = GroupBy(w.retail.flat, {}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  Table empty("empty", w.retail.flat.schema());
-  auto empty_serial = GroupBy(empty, {"city"}, aggs);
-  ASSERT_TRUE(empty_serial.ok());
-  for (int t : {1, 2, 4, 8}) {
-    auto vec = exec::ParallelGroupBy(w.retail.flat, {}, aggs, VecThreads(t));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectTablesIdentical(*serial, *vec, "empty-by vec@" + std::to_string(t));
-    auto empty_vec =
-        exec::ParallelGroupBy(empty, {"city"}, aggs, VecThreads(t));
-    ASSERT_TRUE(empty_vec.ok()) << empty_vec.status().ToString();
-    ExpectTablesIdentical(*empty_serial, *empty_vec,
-                          "empty-input vec@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, SingleKeySkew) {
-  // Every row carries the same key, so one radix partition receives the
-  // whole table while the other 63 stay empty — the degenerate load-balance
-  // case. Inexact measure values make accumulation order observable.
-  Schema schema;
-  schema.AddColumn("k", ValueType::kString);
-  schema.AddColumn("v", ValueType::kDouble);
-  Table skew("skew", schema);
-  for (int i = 0; i < 5000; ++i)
-    skew.AppendRowUnchecked({Value("only"), Value(0.1 * double(i % 997))});
-  std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""},
-                               {AggFn::kAvg, "v", ""},
-                               {AggFn::kMin, "v", ""},
-                               {AggFn::kMax, "v", ""}};
-  auto serial = GroupBy(skew, {"k"}, aggs);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  for (int t : {1, 2, 4, 8}) {
-    auto vec = exec::ParallelGroupBy(skew, {"k"}, aggs, VecThreads(t, 256));
-    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-    ExpectTablesIdentical(*serial, *vec, "skew vec@" + std::to_string(t));
-  }
-}
-
-TEST(VectorizedEquivalence, QueryPathMatchesSerial) {
-  // ExecuteQueryParallel with vectorized=true, across all four workloads'
-  // query batteries (the same queries the scalar-parallel tests run).
-  const auto& w = Workloads::Get();
-  struct Battery {
-    const StatisticalObject* obj;
-    std::vector<const char*> queries;
-  } batteries[] = {
-      {&w.retail.object,
-       {"SELECT sum(amount) BY city",
-        "SELECT sum(qty), avg(amount) BY category",
-        "SELECT sum(amount) BY month WHERE city = 'city1'",
-        "SELECT sum(amount) BY CUBE(city, month)",
-        "SELECT count() WHERE price_range = 'premium'",
-        "SELECT sum(amount), sum(qty) BY CUBE(category, city, year)"}},
-      {&w.census,
-       {"SELECT sum(population) BY race",
-        "SELECT sum(population) BY CUBE(race, sex)",
-        "SELECT sum(population) BY age_group WHERE sex = 'M'"}},
-      {&w.hmo,
-       {"SELECT sum(cost), sum(visits) BY hospital",
-        "SELECT sum(cost) BY CUBE(hospital, month)"}},
-      {&w.stocks,
-       {"SELECT sum(volume) BY stock",
-        "SELECT avg(close) BY stock",
-        "SELECT sum(volume) BY CUBE(stock, day)"}},
-  };
-  for (const auto& b : batteries) {
-    for (const char* q : b.queries) {
-      auto parsed = ParseQuery(q);
-      ASSERT_TRUE(parsed.ok()) << q;
-      auto serial = ExecuteQuery(*b.obj, *parsed);
-      ASSERT_TRUE(serial.ok()) << q << ": " << serial.status().ToString();
-      for (int t : {1, 2, 4, 8}) {
-        auto vec = ExecuteQueryParallel(*b.obj, *parsed, t, /*stop=*/nullptr,
-                                        /*vectorized=*/true);
-        ASSERT_TRUE(vec.ok()) << q << ": " << vec.status().ToString();
-        ExpectTablesIdentical(*serial, *vec,
-                              std::string(q) + " vec@" + std::to_string(t));
-      }
-    }
-  }
-}
-
-TEST(VectorizedEquivalence, BackendsMatchScalarSerial) {
-  // All three cube backends, vectorized on, 1/2/4/8 workers, against the
-  // scalar serial execution of the same backend.
-  const auto& w = Workloads::Get();
-  auto molap = MakeMolapBackend(w.retail.object, "amount").ValueOrDie();
-  auto rolap = MakeRolapBackend(w.retail.object, "amount").ValueOrDie();
-  auto indexed = MakeRolapBackend(w.retail.object, "amount",
-                                  {.build_bitmap_indexes = true})
-                     .ValueOrDie();
-  std::vector<CubeQuery> queries;
-  {
-    CubeQuery q;
-    q.group_dims = {"store"};
-    queries.push_back(q);
-    q.group_dims = {"product", "store"};
-    q.filters = {{"day", Value("1996-1-3")}};
-    queries.push_back(q);
-  }
-  for (CubeBackend* backend : {molap.get(), rolap.get(), indexed.get()}) {
-    for (CubeQuery q : queries) {
-      q.threads = 1;
-      q.vectorized = false;
-      auto serial = backend->GroupBySum(q);
-      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-      q.vectorized = true;
-      for (int t : {1, 2, 4, 8}) {
-        q.threads = t;
-        auto vec = backend->GroupBySum(q);
-        ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-        ExpectTablesIdentical(*serial, *vec,
-                              backend->name() + " vec@" + std::to_string(t));
-      }
-    }
   }
 }
 

@@ -143,8 +143,8 @@ TEST(ExecuteTest, MatchesManualPipeline) {
 
 // ------------------------------------------------------------- read path
 //
-// ExecuteQuery and ExecuteQueryParallel read the object through one input
-// builder: only the referenced columns, plus one derived column per
+// ExecuteQuery reads the object through one input builder at every thread
+// count: only the referenced columns, plus one derived column per
 // referenced hierarchy level. These cases pin its answers against tables
 // written out by hand, serially and at 1/2/4 threads.
 
@@ -249,7 +249,7 @@ void ExpectReadPath(const StatisticalObject& obj, const std::string& text,
   ASSERT_TRUE(serial.ok()) << text << ": " << serial.status().ToString();
   ExpectSameTable(*serial, want, text + " serial");
   for (int t : {1, 2, 4}) {
-    auto parallel = ExecuteQueryParallel(obj, *q, t);
+    auto parallel = ExecuteQuery(obj, *q, t);
     ASSERT_TRUE(parallel.ok()) << text << ": " << parallel.status().ToString();
     ExpectSameTable(*parallel, want, text + " @" + std::to_string(t));
   }
@@ -264,7 +264,7 @@ void ExpectReadPathError(const StatisticalObject& obj, const std::string& text,
   EXPECT_EQ(serial.status().code(), code) << serial.status().ToString();
   EXPECT_EQ(serial.status().message(), message);
   for (int t : {1, 2, 4}) {
-    auto parallel = ExecuteQueryParallel(obj, *q, t);
+    auto parallel = ExecuteQuery(obj, *q, t);
     ASSERT_FALSE(parallel.ok()) << text << " @" << t;
     EXPECT_EQ(parallel.status().code(), code);
     EXPECT_EQ(parallel.status().message(), message);

@@ -84,6 +84,8 @@ TEST(FrontDoorValidationTest, RejectsBadBodies) {
        "deadline_ms"},
       {R"({"query":"SELECT sum(amount) BY city","render":"yes"})",
        "render"},
+      {R"({"query":"SELECT sum(amount) BY city","vectorized":1})",
+       "vectorized"},
       {R"({"query":"SELECT sum(amount) BY city","tenant":""})", "tenant"},
       {R"({"query":"SELECT sum(amount) BY city","tenant":"a b"})", "tenant"},
       {R"({"query":"SELECT sum(amount) BY city","tenant":17})", "tenant"},
@@ -164,6 +166,28 @@ TEST(FrontDoorServeTest, ResultBitIdenticalToQueryProfiledPath) {
       "\"rendered\":" + obs::JsonStr(direct->rendered);
   EXPECT_NE(resp.body.find(expect_rendered), std::string::npos)
       << "served rendering differs from the QueryProfiled rendering";
+}
+
+// "vectorized" once chose the group-by kernel; it is still accepted (a
+// boolean, or 400 as above) so old clients keep working, and changes nothing.
+TEST(FrontDoorServeTest, VectorizedFieldIsAcceptedAndIgnored) {
+  QueryFrontDoor door(Retail());
+  auto result_of = [&](const std::string& extra) {
+    obs::HttpResponse resp = door.ServeRequest(Post(
+        R"j({"query":"SELECT sum(amount), avg(qty) BY CUBE(city, product)")j" +
+        extra + "}"));
+    EXPECT_EQ(resp.status, 200) << resp.body;
+    size_t at = resp.body.find("\"result\":");
+    EXPECT_NE(at, std::string::npos) << resp.body;
+    return at == std::string::npos ? std::string() : resp.body.substr(at);
+  };
+  for (const char* threads : {"1", "2"}) {
+    const std::string t = std::string(R"(,"threads":)") + threads;
+    const std::string plain = result_of(t);
+    EXPECT_NE(plain.find("\"data\":[["), std::string::npos) << plain;
+    EXPECT_EQ(result_of(t + R"(,"vectorized":true)"), plain) << threads;
+    EXPECT_EQ(result_of(t + R"(,"vectorized":false)"), plain) << threads;
+  }
 }
 
 TEST(FrontDoorServeTest, MaxResultRowsTruncatesDataNotRowCount) {

@@ -133,7 +133,6 @@ exec::ExecOptions Vec(int threads, size_t morsel_rows = 128) {
   exec::ExecOptions o;
   o.threads = threads;
   o.morsel_rows = morsel_rows;
-  o.vectorized = true;
   o.vec_fanout_rows = 0;  // force the parallel phases even at test sizes
   return o;
 }
@@ -239,7 +238,7 @@ TEST(VecGroupBy, WideHighCardinalityKeys) {
   ExpectStatesIdentical(*serial, *routed);
 }
 
-TEST(VecGroupBy, BadColumnErrorsMatchScalarPath) {
+TEST(VecGroupBy, BadColumnsAreErrors) {
   Table t("kv", KvSchema());
   t.AppendRowUnchecked({Value("a"), Value(1.0)});
   std::vector<AggSpec> aggs = {{AggFn::kSum, "v", ""}};
